@@ -138,15 +138,11 @@ def check(result_path: Path, baseline_path: Path) -> int:
     baseline = json.loads(baseline_path.read_text())
     bench = result.get("bench", "numpy_exec")
 
-    if "benches" in baseline:
-        section = baseline["benches"].get(bench)
-        if section is None:
-            print(f"no baseline section for bench {bench!r} in "
-                  f"{baseline_path}", file=sys.stderr)
-            return 2
-    else:
-        # Legacy flat layout: the whole file is one numpy_exec section.
-        section = baseline
+    section = baseline.get("benches", {}).get(bench)
+    if section is None:
+        print(f"no baseline section for bench {bench!r} in "
+              f"{baseline_path}", file=sys.stderr)
+        return 2
 
     checker = _CHECKS.get(bench)
     if checker is None:

@@ -58,6 +58,10 @@ class CompiledKernel:
     analysis: KernelAnalysis
     plan: MemoryPlan
 
+    #: The ``numpy`` engine's structural plan, built by :meth:`run_numpy`
+    #: (not a dataclass field, and never pickled).
+    _numpy_plan = None
+
     @functools.cached_property
     def source(self) -> str:
         """Generated Spatial source text (Figure 11 style)."""
@@ -114,12 +118,34 @@ class CompiledKernel:
                 result = CpuExecutor(self.stmt).run()
             return np.asarray(result, dtype=np.float64).reshape(out_shape)
         if engine == "numpy":
-            from repro.backends.numpy_exec import NumpyExecutor
-
-            with _trace.span("exec", kernel=self.name, engine="numpy"):
-                result = NumpyExecutor(self.stmt).run()
-            return np.asarray(result, dtype=np.float64).reshape(out_shape)
+            return self.run_numpy()[0]
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+
+    def run_numpy(self) -> tuple[np.ndarray, bool]:
+        """The ``numpy`` engine on this kernel's cached structural plan.
+
+        Returns the dense result and whether the engine fell back to
+        ``CpuExecutor``. The plan is built on the first call and rebuilt
+        only when an operand's storage object changes; it is kept out of
+        pickles (see :meth:`__getstate__`).
+        """
+        from repro.backends.numpy_exec import NumpyExecutor
+
+        executor = NumpyExecutor(self.stmt, plan=self._numpy_plan)
+        with _trace.span("exec", kernel=self.name, engine="numpy"):
+            result = executor.run()
+        self._numpy_plan = executor.plan
+        result = np.asarray(result, dtype=np.float64)
+        return result.reshape(self.analysis.output.shape), executor.fell_back
+
+    def __getstate__(self) -> dict:
+        # The numpy plan is a per-process memo of the operands' structure:
+        # cache entries and dispatch payloads pickle the same bytes with or
+        # without it.
+        state = self.__dict__
+        if "_numpy_plan" in state:
+            state = {k: v for k, v in state.items() if k != "_numpy_plan"}
+        return state
 
     def memory_report(self) -> str:
         return self.plan.report()

@@ -546,12 +546,7 @@ def exec_check(request: CompileRequest,
         if engine == "interp":
             got = expected
         elif engine == "numpy":
-            from repro.backends.numpy_exec import NumpyExecutor
-
-            with _trace.span("exec", kernel=req.kernel, engine="numpy"):
-                executor = NumpyExecutor(kernel.stmt)
-                got = executor.run()
-            fell_back = executor.fell_back
+            got, fell_back = kernel.run_numpy()
         else:
             got = kernel.run_engine(engine)
         got = np.asarray(got, dtype=np.float64).reshape(expected.shape)

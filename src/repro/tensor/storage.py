@@ -273,47 +273,46 @@ def pack(
     return TensorStorage(fmt, tuple(dims), levels, out_vals)
 
 
-def unpack(storage: TensorStorage) -> tuple[np.ndarray, np.ndarray]:
-    """Expand level storage back to COO ``(coords, vals)``.
+def entry_positions(storage: TensorStorage) -> tuple[np.ndarray, np.ndarray]:
+    """Every stored entry's coordinates and value position.
 
-    Dense levels enumerate every slot, so unpacking a format with a trailing
-    dense level yields explicit zeros; callers filter if needed.
+    Returns ``(coords, positions)``: ``coords`` is (entries, order) in
+    **mode** order and ``storage.vals[positions]`` are the entries'
+    values. Walks the levels outermost-first: a dense level expands each
+    parent position to ``size`` children, a compressed level to its
+    ``pos``/``crd`` segment, and a singleton level passes positions
+    through with its one coordinate. Trailing dense levels enumerate
+    explicit zeros; callers filter if needed.
     """
-    order = storage.order
-    if order == 0:
-        return np.zeros((1, 0), dtype=np.int64), storage.vals.copy()
-
-    # positions and per-entry coordinates, built level by level
     positions = np.zeros(1, dtype=np.int64)
     coord_cols: list[np.ndarray] = []
-    for lvl_idx in range(order):
-        lvl = storage.levels[lvl_idx]
+    for lvl in storage.levels:
         if isinstance(lvl, DenseLevel):
             dim = lvl.size
-            reps = len(positions)
-            new_coord = np.tile(np.arange(dim, dtype=np.int64), reps)
+            new_coord = np.tile(np.arange(dim, dtype=np.int64), len(positions))
             positions = np.repeat(positions, dim) * dim + new_coord
             coord_cols = [np.repeat(c, dim) for c in coord_cols]
             coord_cols.append(new_coord)
         elif isinstance(lvl, SingletonLevel):
-            # One child per parent: positions pass through unchanged.
             coord_cols.append(lvl.crd[positions].astype(np.int64))
         else:
             counts = lvl.pos[positions + 1] - lvl.pos[positions]
-            starts = lvl.pos[positions]
-            total = int(counts.sum())
-            # offsets[e] = starts[parent] + (rank of e within its segment)
+            # offsets[e] = start of e's segment + rank of e within it
             prefix = np.concatenate(([0], np.cumsum(counts)))[: len(counts)]
-            seg_base = np.repeat(prefix, counts)
-            offsets = np.repeat(starts, counts) + (np.arange(total) - seg_base)
+            positions = (np.repeat(lvl.pos[positions] - prefix, counts)
+                         + np.arange(int(counts.sum())))
             coord_cols = [np.repeat(c, counts) for c in coord_cols]
-            coord_cols.append(lvl.crd[offsets].astype(np.int64))
-            positions = offsets
-    coords_storage = np.stack(coord_cols, axis=1) if coord_cols else np.zeros((0, 0))
-    # map storage-level order back to mode order
-    coords = np.zeros_like(coords_storage)
-    for lvl_idx in range(order):
-        coords[:, storage.fmt.mode_of_level(lvl_idx)] = coords_storage[:, lvl_idx]
+            coord_cols.append(lvl.crd[positions].astype(np.int64))
+    coords = np.empty((len(positions), storage.order), dtype=np.int64)
+    for lvl_idx, col in enumerate(coord_cols):
+        coords[:, storage.fmt.mode_of_level(lvl_idx)] = col
+    return coords, positions
+
+
+def unpack(storage: TensorStorage) -> tuple[np.ndarray, np.ndarray]:
+    """Expand level storage back to COO ``(coords, vals)``
+    (see :func:`entry_positions`)."""
+    coords, positions = entry_positions(storage)
     return coords, storage.vals[positions]
 
 

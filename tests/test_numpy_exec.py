@@ -13,18 +13,21 @@ the universal oracle.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import numpy_exec
 from repro.backends.cpu_exec import execute_cpu
 from repro.backends.numpy_exec import (
     NumpyExecutor,
+    SegmentScatter,
     VectorizeFallback,
     enumerate_entries,
     execute_numpy,
-    segment_scatter_add,
 )
 from repro.core import compile_stmt
 from repro.core.compiler import ENGINES, default_engine
@@ -40,7 +43,11 @@ from repro.formats import (
 from repro.ir import index_vars
 from repro.tensor import Tensor, evaluate_dense, to_dense
 from tests.conftest import random_sparse
-from tests.helpers_kernels import SMALL_DIMS, build_small_kernel_stmt
+from tests.helpers_kernels import (
+    SMALL_DIMS,
+    build_small_kernel_stmt,
+    make_small_tensors,
+)
 
 ALL_KERNELS = tuple(SMALL_DIMS)
 
@@ -236,7 +243,8 @@ def test_segment_scatter_add_matches_add_at(rng):
     keys = rng.integers(0, 20, size=200)
     contrib = rng.random((200, 3))
     buffer = np.zeros((20, 3))
-    segment_scatter_add(buffer, keys, contrib)
+    scatter = SegmentScatter(keys)
+    buffer[scatter.keys] += scatter.sums(contrib)
     reference = np.zeros((20, 3))
     np.add.at(reference, keys, contrib)
     assert np.allclose(buffer, reference)
@@ -290,3 +298,124 @@ def test_exec_check_validates_against_oracle(fresh_cache):
         assert summary["kernel"] == "SpMV"
         assert summary["elements"] > 0
         assert summary["maxerr"] <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The structural plan: cached on the kernel, never holding values
+# ---------------------------------------------------------------------------
+
+
+def _uncached_kernel(name: str, seed: int = 42):
+    """A compiled kernel plus its operands, outside the compile cache (the
+    tests below mutate operands, which must not leak into shared entries)."""
+    from repro.kernels import KERNELS
+
+    tensors = make_small_tensors(name, seed)
+    stmt, _ = KERNELS[name].build(tensors, inner_par=16)
+    return compile_stmt(stmt, name.lower(), cache=False), tensors
+
+
+def _assert_matches_fresh_engines(kernel):
+    got = kernel.run_engine("numpy")
+    fresh = execute_numpy(kernel.stmt).reshape(got.shape)
+    oracle = np.asarray(kernel.run_dense()).reshape(got.shape)
+    assert np.allclose(got, fresh)
+    assert np.allclose(got, oracle)
+    return got
+
+
+@pytest.mark.parametrize("name, operands", [
+    ("MatTransMul", ("A", "x", "z", "alpha")),
+    ("SDDMM", ("B", "C", "D")),
+    ("DCSR-SpMM", ("A", "B")),
+])
+def test_plan_reads_values_every_call(name, operands):
+    """In-place writes to sparse, dense (gathered, flat or with residual
+    axes, and einsum-viewed) and scalar operands reach the next call on
+    the same, reused plan."""
+    kernel, tensors = _uncached_kernel(name)
+    first = _assert_matches_fresh_engines(kernel)
+    plan = kernel._numpy_plan
+    for k, operand in enumerate(operands):
+        vals = tensors[operand].storage.vals
+        vals[:] = vals * (k + 2) - np.arange(len(vals)) / 7
+        second = _assert_matches_fresh_engines(kernel)
+        assert kernel._numpy_plan is plan
+        assert not np.allclose(first, second), operand
+        first = second
+
+
+def test_plan_rebuilt_after_repack():
+    """Tensor.insert repacks the operand into a new storage object; the
+    kernel's plan notices and re-plans against the new structure."""
+    kernel, tensors = _uncached_kernel("SpMV")
+    _assert_matches_fresh_engines(kernel)
+    plan = kernel._numpy_plan
+    A = tensors["A"]
+    dense = A.to_dense()
+    r, c = map(int, np.argwhere(dense == 0)[0])
+    A.insert((r, c), 4.0)
+    got = _assert_matches_fresh_engines(kernel)
+    assert kernel._numpy_plan is not plan
+    dense[r, c] = 4.0
+    assert np.allclose(got, dense @ tensors["x"].to_dense())
+
+
+def test_plan_reused_across_executors():
+    """A plan handed to a new executor is reused while it is current."""
+    stmt, _, _ = build_small_kernel_stmt("TTV")
+    first = NumpyExecutor(stmt)
+    first.run()
+    second = NumpyExecutor(stmt, plan=first.plan)
+    second.run()
+    assert second.plan is first.plan
+    assert first.plan.fallback is None
+
+
+def test_fallback_decision_is_planned(rng):
+    """A non-vectorizable shape is decided once, at plan time."""
+    B, C, D = (_sparse_vec(n, rng) for n in "BCD")
+    y = Tensor("y", (8,), DENSE_VECTOR(offChip))
+    (i,) = index_vars("i")
+    y[i] = B[i] * C[i] * D[i]
+    executor = NumpyExecutor(y.get_index_stmt())
+    executor.run()
+    assert executor.fell_back
+    assert "3 sparse factors" in executor.plan.fallback
+    assert not executor.plan.terms
+
+
+@pytest.mark.parametrize("name", ["SDDMM", "TTM", "MTTKRP", "DCSR-SpMM"])
+def test_blocked_gather_matches_unblocked(name, monkeypatch):
+    """Blocking the gathers over the entry axis changes no result."""
+    stmt, out, _ = build_small_kernel_stmt(name, seed=5)
+    unblocked = NumpyExecutor(stmt)
+    reference = unblocked.run(strict=True)
+    assert all(getattr(t, "block", None) is None
+               for t in unblocked.plan.terms)
+    monkeypatch.setattr(numpy_exec, "GATHER_BLOCK_BYTES", 16)
+    blocked = NumpyExecutor(stmt)
+    result = blocked.run(strict=True)
+    assert any(getattr(t, "block", None) == 1 for t in blocked.plan.terms)
+    assert np.allclose(result, reference, rtol=1e-13, atol=0)
+    dense = np.atleast_1d(evaluate_dense(out.get_assignment()))
+    assert np.allclose(result.reshape(dense.shape), dense)
+
+
+@pytest.mark.parametrize("name", ["SpMV", "MatTransMul", "SDDMM"])
+def test_plan_stays_out_of_pickles_and_keys(name):
+    """The cached plan never reaches pickled cache entries or dispatch
+    payloads, and leaves the statement fingerprint alone."""
+    from repro.pipeline.cache import fingerprint_stmt
+
+    kernel, _ = _uncached_kernel(name)
+    # Fingerprinting packs inserted scalars, as compile_stmt's cache does.
+    key = fingerprint_stmt(kernel.stmt, kernel.name)
+    before = pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
+    result = kernel.run_engine("numpy")
+    assert kernel._numpy_plan is not None
+    assert pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL) == before
+    assert fingerprint_stmt(kernel.stmt, kernel.name) == key
+    clone = pickle.loads(before)
+    assert "_numpy_plan" not in vars(clone)
+    assert np.array_equal(clone.run_engine("numpy"), result)
