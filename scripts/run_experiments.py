@@ -40,20 +40,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.pipeline.batch import run_batch
+from repro.core.compiler import ENGINES
+from repro.pipeline.batch import ARTIFACT_NAMES, run_batch
 from repro.pipeline.cache import default_cache
 
 OUT = Path(__file__).resolve().parent.parent / "results"
-
-#: Structural artefacts (LoC, resources) need only a tiny dataset.
-TINY = 0.02
-
-
-#: (artefact, scale attribute) pairs in regeneration order.
-def _artifact_scales(scale: float) -> list[tuple[str, float]]:
-    return [("table3", TINY), ("table5", TINY),
-            ("table6", scale), ("figure12", scale),
-            ("format_sweep", scale), ("pipeline_sweep", scale)]
 
 
 def _run_shard(args, use_cache) -> int:
@@ -64,8 +55,8 @@ def _run_shard(args, use_cache) -> int:
     shard_dir = args.shard_dir
     shard_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
-    for artifact, at in _artifact_scales(args.scale):
-        manifest = run_shard(artifact, at, spec, jobs=args.jobs,
+    for artifact in ARTIFACT_NAMES:
+        manifest = run_shard(artifact, args.scale, spec, jobs=args.jobs,
                              use_cache=use_cache, engine=args.engine)
         out = shard_dir / f"{artifact}.shard{spec.index}of{spec.count}.json"
         manifest.save(out)
@@ -104,14 +95,14 @@ def _run_dispatch(args, use_cache) -> int:
     t0 = time.time()
     bad = 0
     try:
-        for artifact, at in _artifact_scales(args.scale):
+        for artifact in ARTIFACT_NAMES:
             def event(message, _artifact=artifact):
                 print(f"[{_artifact}] {message}", file=sys.stderr)
 
             state_dir = state_root / artifact
             try:
                 result = dispatch(
-                    artifact, at, transport,
+                    artifact, args.scale, transport,
                     use_cache=use_cache, worker_jobs=args.jobs,
                     state_dir=state_dir, resume=True,
                     steal=args.steal, engine=args.engine,
@@ -130,12 +121,12 @@ def _run_dispatch(args, use_cache) -> int:
             # uploads both.
             (state_dir / "summary.json").write_text(
                 json.dumps(dispatch_summary_payload(result), indent=2) + "\n")
-            keys = [job.key for job in artifact_jobs(artifact, at)]
-            (state_dir / "costs.json").write_text(
-                json.dumps(export_costs(artifact, at, keys), indent=2) + "\n")
+            keys = [job.key for job in artifact_jobs(artifact, args.scale)]
+            (state_dir / "costs.json").write_text(json.dumps(
+                export_costs(artifact, args.scale, keys), indent=2) + "\n")
             if result.ok:
                 (OUT / f"{artifact}.txt").write_text(result.merged.text + "\n")
-                print(f"\n##### {artifact}.txt (scale={at})")
+                print(f"\n##### {artifact}.txt (scale={args.scale})")
                 print(result.merged.text)
             else:
                 bad += 1
@@ -168,7 +159,7 @@ def main() -> int:
     parser.add_argument("--steal", action="store_true",
                         help="with --workers: plan cost-balanced chunks "
                              "from the recorded per-job cost table")
-    parser.add_argument("--engine", choices=["interp", "cpu", "numpy"],
+    parser.add_argument("--engine", choices=ENGINES,
                         default=None,
                         help="functionally execute each table6/format_sweep/"
                              "pipeline_sweep cell with this engine and "
@@ -192,26 +183,14 @@ def main() -> int:
 
     OUT.mkdir(exist_ok=True)
     t0 = time.time()
-    structural = run_batch(["table3", "table5"], TINY,
-                           jobs=args.jobs, use_cache=use_cache)
-    scaled = run_batch(["table6", "figure12", "format_sweep",
-                        "pipeline_sweep"], args.scale,
-                       jobs=args.jobs, use_cache=use_cache,
-                       engine=args.engine)
-
-    failures = structural.failures + scaled.failures
-    for failure in failures:
+    run = run_batch(list(ARTIFACT_NAMES), args.scale, jobs=args.jobs,
+                    use_cache=use_cache, engine=args.engine)
+    for failure in run.failures:
         print(f"FAILED {failure.job}:\n{failure.error}", file=sys.stderr)
 
-    artefacts = {f"{name}.txt": text
-                 for run in (structural, scaled)
-                 for name, text in run.texts.items()}
-    for name, text in artefacts.items():
-        at = (args.scale
-              if name.startswith(("table6", "figure", "format", "pipeline"))
-              else TINY)
-        (OUT / name).write_text(text + "\n")
-        print(f"\n##### {name} (scale={at})")
+    for name, text in run.texts.items():
+        (OUT / f"{name}.txt").write_text(text + "\n")
+        print(f"\n##### {name}.txt (scale={args.scale})")
         print(text)
 
     stats = default_cache().stats
@@ -220,7 +199,7 @@ def main() -> int:
           f"cache: {stats.hits} hits / {stats.misses} misses"
           + (f" [{stages}]" if stages else "")
           + f"; artefacts in {OUT}/")
-    return 1 if failures else 0
+    return 1 if run.failures else 0
 
 
 if __name__ == "__main__":

@@ -123,35 +123,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    from repro.eval import harness
+    from repro.pipeline.batch import format_artifact, run_artifact
 
     artefact = args.artifact
-    use_cache = _use_cache(args)
-    engine = args.engine
-    if artefact == "table3":
-        print(harness.format_table3(
-            harness.table3(jobs=args.jobs, use_cache=use_cache)))
-    elif artefact == "table5":
-        print(harness.format_table5(
-            harness.table5(jobs=args.jobs, use_cache=use_cache)))
-    elif artefact == "table6":
-        print(harness.format_table6(
-            harness.table6(args.scale, jobs=args.jobs, use_cache=use_cache,
-                           engine=engine)))
-    elif artefact == "figure12":
-        print(harness.format_figure12(
-            harness.figure12(args.scale, jobs=args.jobs,
-                             use_cache=use_cache)))
-    elif artefact == "format_sweep":
-        print(harness.format_format_sweep(
-            harness.format_sweep(args.scale, jobs=args.jobs,
-                                 use_cache=use_cache, engine=engine)))
-    elif artefact == "pipeline_sweep":
-        print(harness.format_pipeline_sweep(
-            harness.pipeline_sweep(args.scale, jobs=args.jobs,
-                                   use_cache=use_cache, engine=engine)))
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
+    print(format_artifact(artefact, run_artifact(
+        artefact, args.scale, jobs=args.jobs, use_cache=_use_cache(args),
+        engine=args.engine)))
     return 0
 
 
@@ -322,32 +299,24 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    from repro.pipeline.batch import ARTIFACT_NAMES, artifact_jobs, run_batch
+    from repro.pipeline.batch import (
+        ARTIFACT_NAMES,
+        artifact_jobs,
+        get_artifact,
+        run_batch,
+    )
     from repro.pipeline.cache import default_cache
+    from repro.pipeline.partition import PartitionError
     from repro.pipeline.shard import ShardSpec
 
     artifacts = list(args.artifacts)
     if "all" in artifacts:
         artifacts = list(ARTIFACT_NAMES)
-    from repro.pipeline.partition import (
-        PartitionError,
-        is_partition_artifact,
-        parse_partition,
-    )
-
     for name in artifacts:
-        if name in ARTIFACT_NAMES:
-            continue
-        if not is_partition_artifact(name):
-            print(f"unknown artefact {name!r}; choose from "
-                  f"{list(ARTIFACT_NAMES)}, 'all', or a "
-                  f"partition:<kernel>:<dataset>:p<P>:<mode> plan",
-                  file=sys.stderr)
-            return 2
         try:
-            parse_partition(name)
-        except PartitionError as exc:
-            print(f"batch error: {exc}", file=sys.stderr)
+            get_artifact(name)
+        except (KeyError, PartitionError) as exc:
+            print(f"batch error: {exc.args[0]}", file=sys.stderr)
             return 2
     use_cache = _use_cache(args)
 
@@ -733,6 +702,10 @@ def _add_trace_flag(parser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.core.compiler import ENGINES
+    from repro.pipeline.batch import ARTIFACT_NAMES
+
+    artefact_list = ", ".join(ARTIFACT_NAMES)
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Stardust reproduction command-line interface",
@@ -758,26 +731,25 @@ def main(argv: list[str] | None = None) -> int:
                        help="bypass the compilation/result cache")
 
     p_tab = sub.add_parser("tables", help="regenerate a table/figure")
-    p_tab.add_argument("artifact",
-                       choices=["table3", "table5", "table6", "figure12",
-                                "format_sweep", "pipeline_sweep"])
+    p_tab.add_argument("artifact", choices=ARTIFACT_NAMES)
     p_tab.add_argument("--scale", type=float, default=0.25)
     p_tab.add_argument("--jobs", type=int, default=None,
                        help="parallel worker count (default: REPRO_JOBS or 1)")
     p_tab.add_argument("--no-cache", action="store_true",
                        help="bypass the compilation/result cache")
-    p_tab.add_argument("--engine", choices=["interp", "cpu", "numpy"],
+    p_tab.add_argument("--engine", choices=ENGINES,
                        default=None,
-                       help="functionally execute each table6/format_sweep "
-                            "cell with this engine and validate it against "
-                            "the interpreter oracle (default: skip the check)")
+                       help="functionally execute each table6/format_sweep/"
+                            "pipeline_sweep cell with this engine and "
+                            "validate it against the interpreter oracle "
+                            "(default: skip the check)")
 
     p_batch = sub.add_parser(
         "batch", help="regenerate several artefacts as one parallel batch")
     p_batch.add_argument(
         "artifacts", nargs="+",
-        help="table3/table5/table6/figure12/format_sweep/pipeline_sweep, "
-             "'all', or a partition:<kernel>:<dataset>:p<P>:<mode> plan")
+        help=f"{artefact_list}, 'all', or a "
+             "partition:<kernel>:<dataset>:p<P>:<mode> plan")
     p_batch.add_argument("--scale", type=float, default=0.25)
     p_batch.add_argument("--jobs", type=int, default=None,
                          help="parallel worker count (default: REPRO_JOBS or 1)")
@@ -796,11 +768,12 @@ def main(argv: list[str] | None = None) -> int:
                          help="manifest path for --shard (default: "
                               "<artefact>.shardIofN.json; `-` streams the "
                               "manifest JSON to stdout)")
-    p_batch.add_argument("--engine", choices=["interp", "cpu", "numpy"],
+    p_batch.add_argument("--engine", choices=ENGINES,
                          default=None,
-                         help="functionally execute each table6/format_sweep "
-                              "cell with this engine and validate it against "
-                              "the interpreter oracle (default: skip the check)")
+                         help="functionally execute each table6/"
+                              "format_sweep/pipeline_sweep cell with this "
+                              "engine and validate it against the "
+                              "interpreter oracle (default: skip the check)")
 
     p_disp = sub.add_parser(
         "dispatch",
@@ -808,8 +781,7 @@ def main(argv: list[str] | None = None) -> int:
              "pool (chunked leases; merged output byte-identical to "
              "`tables`)")
     p_disp.add_argument("artifact",
-                        help="table3/table5/table6/figure12/format_sweep/"
-                             "pipeline_sweep, a partition:<kernel>:"
+                        help=f"{artefact_list}, a partition:<kernel>:"
                              "<dataset>:p<P>:<mode> plan, or (with "
                              "--partition) a kernel name to row-block")
     p_disp.add_argument("--partition", type=int, default=None, metavar="P",
@@ -860,11 +832,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="workers bypass the compilation/result cache")
     p_disp.add_argument("--quiet", action="store_true",
                         help="suppress per-lease progress on stderr")
-    p_disp.add_argument("--engine", choices=["interp", "cpu", "numpy"],
+    p_disp.add_argument("--engine", choices=ENGINES,
                         default=None,
                         help="workers functionally execute each "
-                             "table6/format_sweep cell with this engine and "
-                             "validate it against the interpreter oracle")
+                             "table6/format_sweep/pipeline_sweep cell with "
+                             "this engine and validate it against the "
+                             "interpreter oracle")
 
     p_dist = sub.add_parser(
         "spmm-dist",
@@ -992,7 +965,7 @@ def main(argv: list[str] | None = None) -> int:
                              "full dataset list)")
     p_pipe.add_argument("--scale", type=float, default=0.25)
     p_pipe.add_argument("--seed", type=int, default=7)
-    p_pipe.add_argument("--engine", choices=["interp", "cpu", "numpy"],
+    p_pipe.add_argument("--engine", choices=ENGINES,
                         default=None,
                         help="execution engine for every stage (default: "
                              "REPRO_ENGINE or numpy); each stage is "

@@ -3,8 +3,6 @@
 from repro.eval import paper_results
 from repro.eval.harness import (
     DEFAULT_SCALE,
-    build_kernel,
-    evaluate,
     figure12,
     figure13,
     format_figure12,
@@ -18,8 +16,6 @@ from repro.eval.harness import (
 
 __all__ = [
     "DEFAULT_SCALE",
-    "build_kernel",
-    "evaluate",
     "figure12",
     "figure13",
     "format_figure12",

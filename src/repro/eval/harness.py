@@ -11,22 +11,17 @@ compilation cache (disable with ``use_cache=False`` or the
 ``REPRO_NO_CACHE`` environment variable). Parallel runs assemble results
 in deterministic job order, so they are byte-identical to serial runs.
 
-Compile-request handling itself lives in :mod:`repro.service.api` now:
+Compile-request handling itself lives in :mod:`repro.service.api`:
 every cell is a typed :class:`~repro.service.api.CompileRequest` and this
-module keeps only the artefact orchestration plus thin back-compat
-wrappers for the old positional signatures (which emit a
-``DeprecationWarning`` once per process — new code should go through
-:mod:`repro.api`).
+module keeps only the artefact orchestration and formatters.
 """
 
 from __future__ import annotations
 
-import warnings
 from statistics import geometric_mean
 
 from repro.backends.handwritten import handwritten_capstan_loc
 from repro.capstan.resources import ResourceEstimate
-from repro.core.compiler import CompiledKernel
 from repro.data.datasets import datasets_for
 from repro.eval import paper_results
 from repro.kernels.suite import FORMAT_KERNEL_ORDER, KERNEL_ORDER
@@ -50,9 +45,6 @@ __all__ = [
     "PLATFORMS",
     "EngineMismatchError",
     "PlatformTimes",
-    "build_kernel",
-    "build_kernel_cached",
-    "evaluate",
     "exec_check",
     "figure12",
     "figure13",
@@ -73,22 +65,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Back-compat wrappers over repro.service.api
+# Stage wrappers over repro.service.api
 # ---------------------------------------------------------------------------
-
-#: Deprecated entry points that already warned (once per process each).
-_DEPRECATED_SEEN: set[str] = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _DEPRECATED_SEEN:
-        return
-    _DEPRECATED_SEEN.add(name)
-    warnings.warn(
-        f"repro.eval.harness.{name}() is deprecated; build a "
-        f"repro.api.CompileRequest and call {replacement} instead",
-        DeprecationWarning, stacklevel=3,
-    )
 
 
 def load_dataset_cached(kernel_name: str, dataset_name: str, scale: float,
@@ -100,49 +78,6 @@ def load_dataset_cached(kernel_name: str, dataset_name: str, scale: float,
                        seed=seed),
         use_cache=use_cache,
     )
-
-
-def build_kernel(kernel_name: str, dataset_name: str, scale: float,
-                 seed: int = 7, use_cache: bool | None = None) -> CompiledKernel:
-    """Deprecated positional wrapper over :func:`repro.service.api.build`."""
-    _warn_deprecated("build_kernel", "repro.api.build(request)")
-    return _api.build(
-        CompileRequest(kernel=kernel_name, dataset=dataset_name, scale=scale,
-                       seed=seed),
-        use_cache=use_cache,
-    )
-
-
-def build_kernel_cached(kernel_name: str, dataset_name: str, scale: float,
-                        seed: int = 7,
-                        use_cache: bool | None = None) -> CompiledKernel:
-    """Deprecated positional wrapper over :func:`repro.service.api.build`."""
-    _warn_deprecated("build_kernel_cached", "repro.api.build(request)")
-    return _api.build(
-        CompileRequest(kernel=kernel_name, dataset=dataset_name, scale=scale,
-                       seed=seed),
-        use_cache=use_cache,
-    )
-
-
-def evaluate(kernel_name: str, dataset_name: str,
-             scale: float = DEFAULT_SCALE,
-             platforms: tuple[str, ...] | None = None,
-             use_cache: bool | None = None) -> PlatformTimes:
-    """Deprecated positional wrapper over :func:`repro.service.api.evaluate`.
-
-    Returns the evaluate payload as :class:`PlatformTimes`, exactly as
-    before; the staged result entry is shared with every caller of the
-    typed API (same canonical request, same key).
-    """
-    _warn_deprecated("evaluate", "repro.api.evaluate(request)")
-    wanted = tuple(platforms) if platforms is not None else None
-    result = _api.evaluate(
-        CompileRequest(kernel=kernel_name, dataset=dataset_name, scale=scale,
-                       platforms=wanted),
-        use_cache=use_cache,
-    )
-    return result.platform_times()
 
 
 def exec_check(kernel_name: str, dataset_name: str,

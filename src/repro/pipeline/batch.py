@@ -7,6 +7,11 @@ artefact, :func:`run_artifact` executes it (serially or over a worker
 pool) and folds the per-job results into exactly the data structure the
 harness's serial loops produce — deterministic ordering guarantees the
 two are byte-identical. ``python -m repro batch`` drives this directly.
+
+Each artefact is one :class:`Artifact` record — its job list, result
+codec, assembly and renderer — and :func:`get_artifact` is the single
+lookup the shard, dispatch, queue and CLI layers go through. Adding an
+artefact means adding one record here plus its harness renderer.
 """
 
 from __future__ import annotations
@@ -14,25 +19,27 @@ from __future__ import annotations
 import dataclasses
 import time
 from statistics import geometric_mean
-from typing import Any
+from typing import Any, Callable
 
+from repro.capstan.resources import ResourceEstimate
+from repro.eval import harness
+from repro.pipeline import partition
 from repro.pipeline.cache import memoize_stage
 from repro.pipeline.executor import Job, JobResult, run_jobs
+from repro.service.api import PlatformTimes
 
 __all__ = [
     "ARTIFACT_NAMES",
+    "Artifact",
     "BatchRun",
     "artifact_jobs",
     "assemble_artifact",
     "format_artifact",
+    "get_artifact",
     "record_result_costs",
     "run_artifact",
     "run_batch",
 ]
-
-#: Artefacts the batch runner can regenerate.
-ARTIFACT_NAMES = ("table3", "table5", "table6", "figure12", "format_sweep",
-                  "pipeline_sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -233,77 +240,134 @@ def pipeline_sweep_cell(pipeline_name: str, dataset_name: str, scale: float,
 
 
 # ---------------------------------------------------------------------------
-# Job lists
+# The artefact registry
 # ---------------------------------------------------------------------------
 
 
-def artifact_jobs(artifact: str, scale: float,
-                  use_cache: bool | None = None,
-                  engine: str | None = None) -> list[Job]:
-    """The (kernel, dataset, platform) job list for one artefact.
+@dataclasses.dataclass(frozen=True)
+class Artifact:
+    """Everything the pipeline knows about one artefact.
 
-    ``engine`` only affects the cells that execute kernels functionally
-    (``table6`` and ``format_sweep``); job **keys** never include it, so
-    shard manifests stay engine-agnostic and merge across engines.
+    ``jobs(scale, use_cache, engine)`` expands it into its deterministic
+    (kernel, dataset, platform) job list. ``encode``/``decode`` carry one
+    job's result through a JSON shard manifest; JSON writes floats with
+    their shortest round-trip repr, so every float survives bit-identically
+    — the property the byte-identical merge rests on. ``assemble`` folds
+    ordered results into the harness's data structure, ``render`` formats
+    it, and ``task_prefix`` names the artefact's queue task files.
     """
-    from repro.data.datasets import datasets_for
-    from repro.kernels.suite import KERNEL_ORDER
-    from repro.pipeline.partition import is_partition_artifact, parse_partition
 
-    if is_partition_artifact(artifact):
-        # Partition pseudo-artifacts expand to one job per row block; the
-        # plan string carries the kernel/dataset/count/mode coordinates.
-        return parse_partition(artifact).jobs(scale, use_cache=use_cache,
-                                              engine=engine)
-    kwargs = {"use_cache": use_cache}
+    name: str
+    jobs: Callable[..., list[Job]]
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+    assemble: Callable[[list[JobResult]], Any]
+    render: Callable[[Any], str]
+    task_prefix: str = "chunk"
+
+
+# Job lists. Cells are looked up when the list is built, so a cell
+# replaced on this module (a test's fault injection) is the one that runs.
+
+
+def _exec_kwargs(use_cache: bool | None, engine: str | None) -> dict:
     # Leave the kwarg out entirely when unset, so engine-less runs call
     # the cells exactly as they always did.
-    exec_kwargs = dict(kwargs, engine=engine) if engine is not None else kwargs
-    if artifact == "table6":
-        return [
-            Job((kernel, dspec.name, "*"), evaluate_cell,
-                (kernel, dspec.name, scale), dict(exec_kwargs))
-            for kernel in KERNEL_ORDER
-            for dspec in datasets_for(kernel)
-        ]
-    if artifact == "table5":
-        return [Job((kernel, "-", "capstan-resources"), table5_cell,
-                    (kernel, scale), dict(kwargs))
-                for kernel in KERNEL_ORDER]
-    if artifact == "table3":
-        return [Job((kernel, "-", "loc"), table3_cell,
-                    (kernel, scale), dict(kwargs))
-                for kernel in KERNEL_ORDER]
-    if artifact == "figure12":
-        return [Job((kernel, "-", "bandwidth-sweep"), figure12_cell,
-                    (kernel, scale), dict(kwargs))
-                for kernel in KERNEL_ORDER]
-    if artifact == "format_sweep":
-        from repro.eval.harness import FORMAT_SWEEP_KERNELS
+    if engine is None:
+        return {"use_cache": use_cache}
+    return {"use_cache": use_cache, "engine": engine}
 
-        return [
-            Job((kernel, dspec.name, "format"), format_sweep_cell,
-                (kernel, dspec.name, scale), dict(exec_kwargs))
-            for kernel in FORMAT_SWEEP_KERNELS
-            for dspec in datasets_for(kernel)
-        ]
-    if artifact == "pipeline_sweep":
-        from repro.pipeline.fusion import PIPELINES, PIPELINE_ORDER
 
-        return [
-            Job((name, dataset, "fusion"), pipeline_sweep_cell,
-                (name, dataset, scale), dict(exec_kwargs))
+def _per_kernel_jobs(platform: str, cell, scale: float,
+                     use_cache: bool | None) -> list[Job]:
+    from repro.kernels.suite import KERNEL_ORDER
+
+    return [Job((kernel, "-", platform), cell, (kernel, scale),
+                {"use_cache": use_cache})
+            for kernel in KERNEL_ORDER]
+
+
+def _per_dataset_jobs(kernels, platform: str, cell, scale: float,
+                      use_cache: bool | None, engine: str | None) -> list[Job]:
+    from repro.data.datasets import datasets_for
+
+    return [Job((kernel, dspec.name, platform), cell,
+                (kernel, dspec.name, scale), _exec_kwargs(use_cache, engine))
+            for kernel in kernels
+            for dspec in datasets_for(kernel)]
+
+
+def _table3_jobs(scale, use_cache=None, engine=None):
+    return _per_kernel_jobs("loc", table3_cell, scale, use_cache)
+
+
+def _table5_jobs(scale, use_cache=None, engine=None):
+    return _per_kernel_jobs("capstan-resources", table5_cell, scale,
+                            use_cache)
+
+
+def _figure12_jobs(scale, use_cache=None, engine=None):
+    return _per_kernel_jobs("bandwidth-sweep", figure12_cell, scale,
+                            use_cache)
+
+
+def _table6_jobs(scale, use_cache=None, engine=None):
+    from repro.kernels.suite import KERNEL_ORDER
+
+    return _per_dataset_jobs(KERNEL_ORDER, "*", evaluate_cell, scale,
+                             use_cache, engine)
+
+
+def _format_sweep_jobs(scale, use_cache=None, engine=None):
+    return _per_dataset_jobs(harness.FORMAT_SWEEP_KERNELS, "format",
+                             format_sweep_cell, scale, use_cache, engine)
+
+
+def _pipeline_sweep_jobs(scale, use_cache=None, engine=None):
+    from repro.pipeline.fusion import PIPELINES, PIPELINE_ORDER
+
+    return [Job((name, dataset, "fusion"), pipeline_sweep_cell,
+                (name, dataset, scale), _exec_kwargs(use_cache, engine))
             for name in PIPELINE_ORDER
-            for dataset in PIPELINES[name].datasets
-        ]
-    raise KeyError(
-        f"unknown artefact {artifact!r}; choose from {ARTIFACT_NAMES}"
-    )
+            for dataset in PIPELINES[name].datasets]
 
 
-# ---------------------------------------------------------------------------
-# Assembly: fold ordered job results into the harness data structures
-# ---------------------------------------------------------------------------
+# Result codecs (the JSON-safe payload of one job's result).
+
+
+def _encode_times(value) -> dict:
+    return {"kernel": value.kernel, "dataset": value.dataset,
+            "seconds": dict(value.seconds)}
+
+
+def _decode_times(payload):
+    return PlatformTimes(payload["kernel"], payload["dataset"],
+                         dict(payload["seconds"]))
+
+
+_RESOURCE_FIELDS = ("kernel", "par", "pcu", "pmu", "mc", "shuffle")
+
+
+def _encode_resources(value) -> dict:
+    return {field: getattr(value, field) for field in _RESOURCE_FIELDS}
+
+
+def _decode_resources(payload):
+    return ResourceEstimate(**{field: payload[field]
+                               for field in _RESOURCE_FIELDS})
+
+
+def _encode_series(value) -> dict:
+    # {bandwidth: speedup}; JSON object keys are strings.
+    return {str(bw): ratio for bw, ratio in value.items()}
+
+
+def _decode_series(payload) -> dict:
+    return {int(bw) if bw.lstrip("-").isdigit() else float(bw): ratio
+            for bw, ratio in payload.items()}
+
+
+# Assembly: fold ordered job results into the harness data structures.
 
 
 def _assemble_table6(results: list[JobResult]) -> dict[str, dict[str, float]]:
@@ -328,7 +392,7 @@ def _assemble_by_kernel(results: list[JobResult]) -> dict[str, Any]:
     return {res.job.key[0]: res.unwrap() for res in results}
 
 
-def _assemble_format_sweep(results: list[JobResult]) -> dict[str, dict[str, Any]]:
+def _assemble_by_cell(results: list[JobResult]) -> dict[str, dict[str, Any]]:
     out: dict[str, dict[str, Any]] = {}
     for res in results:
         kernel, dataset = res.job.key[0], res.job.key[1]
@@ -336,35 +400,78 @@ def _assemble_format_sweep(results: list[JobResult]) -> dict[str, dict[str, Any]
     return out
 
 
+_REGISTRY = {record.name: record for record in (
+    Artifact("table3", _table3_jobs, dict, dict, _assemble_by_kernel,
+             harness.format_table3),
+    Artifact("table5", _table5_jobs, _encode_resources, _decode_resources,
+             _assemble_by_kernel, harness.format_table5),
+    Artifact("table6", _table6_jobs, _encode_times, _decode_times,
+             _assemble_table6, harness.format_table6),
+    Artifact("figure12", _figure12_jobs, _encode_series, _decode_series,
+             _assemble_by_kernel, harness.format_figure12),
+    Artifact("format_sweep", _format_sweep_jobs, dict, dict,
+             _assemble_by_cell, harness.format_format_sweep),
+    Artifact("pipeline_sweep", _pipeline_sweep_jobs, dict, dict,
+             _assemble_by_cell, harness.format_pipeline_sweep),
+)}
+
+#: Artefacts the batch runner can regenerate (``partition:*`` plans aside).
+ARTIFACT_NAMES = tuple(_REGISTRY)
+
+
+def _partition_record(name: str) -> Artifact:
+    """The parametrized record of one ``partition:*`` plan.
+
+    Block partials are JSON-safe dicts already. The partition module's
+    functions are looked up on each call rather than captured here, so
+    wrappers installed on that module (tracing probes) see every call.
+    """
+    plan = partition.parse_partition(name)
+    return Artifact(
+        name, plan.jobs, dict, dict,
+        assemble=lambda results: partition.reduce_partials(name, results),
+        render=lambda data: partition.format_partition(data),
+        task_prefix="part",
+    )
+
+
+def get_artifact(name: str) -> Artifact:
+    """The registry record for ``name``.
+
+    Raises ``KeyError`` for an unknown name and
+    :class:`~repro.pipeline.partition.PartitionError` for a malformed
+    ``partition:<kernel>:<dataset>:p<P>:<mode>`` plan.
+    """
+    if partition.is_partition_artifact(name):
+        return _partition_record(name)
+    try:
+        return _REGISTRY[name]
+    except (KeyError, TypeError):
+        raise KeyError(f"unknown artefact {name!r}; choose from "
+                       f"{ARTIFACT_NAMES} or a partition:* plan") from None
+
+
+def artifact_jobs(artifact: str, scale: float,
+                  use_cache: bool | None = None,
+                  engine: str | None = None) -> list[Job]:
+    """The (kernel, dataset, platform) job list for one artefact.
+
+    ``engine`` only affects the cells that execute kernels functionally
+    (``table6``, ``format_sweep`` and ``pipeline_sweep``); job **keys**
+    never include it, so shard manifests stay engine-agnostic and merge
+    across engines.
+    """
+    return get_artifact(artifact).jobs(scale, use_cache, engine)
+
+
 def assemble_artifact(artifact: str, results: list[JobResult]):
     """Fold ordered job results into the artefact's data structure."""
-    from repro.pipeline.partition import is_partition_artifact, reduce_partials
-
-    if is_partition_artifact(artifact):
-        return reduce_partials(artifact, results)
-    if artifact == "table6":
-        return _assemble_table6(results)
-    if artifact in ("format_sweep", "pipeline_sweep"):
-        return _assemble_format_sweep(results)
-    return _assemble_by_kernel(results)
+    return get_artifact(artifact).assemble(results)
 
 
 def format_artifact(artifact: str, data) -> str:
     """Render an artefact with the harness's formatter."""
-    from repro.eval import harness
-    from repro.pipeline.partition import format_partition, is_partition_artifact
-
-    if is_partition_artifact(artifact):
-        return format_partition(data)
-    formatter = {
-        "table3": harness.format_table3,
-        "table5": harness.format_table5,
-        "table6": harness.format_table6,
-        "figure12": harness.format_figure12,
-        "format_sweep": harness.format_format_sweep,
-        "pipeline_sweep": harness.format_pipeline_sweep,
-    }[artifact]
-    return formatter(data)
+    return get_artifact(artifact).render(data)
 
 
 def record_result_costs(artifact: str, scale: float,

@@ -66,7 +66,7 @@ from typing import Any, Callable
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.pipeline.batch import ARTIFACT_NAMES, artifact_jobs
+from repro.pipeline.batch import get_artifact
 from repro.pipeline.cache import cache_enabled, cache_env_knobs, compiler_version
 from repro.pipeline.fsqueue import (
     ERROR_FORMAT,
@@ -74,6 +74,7 @@ from repro.pipeline.fsqueue import (
     QueueTransport,
     queue_task_payload,
 )
+from repro.pipeline.partition import PartitionError
 from repro.pipeline.shard import (
     MergedArtifact,
     MergeError,
@@ -686,12 +687,10 @@ def dispatch(
     start = time.perf_counter()
     if isinstance(transport, str):
         transport = parse_transport(transport)
-    from repro.pipeline.partition import is_partition_artifact
-
-    if artifact not in ARTIFACT_NAMES and not is_partition_artifact(artifact):
-        raise DispatchError(
-            f"unknown artefact {artifact!r}; choose from {ARTIFACT_NAMES} "
-            f"or a partition:* plan")
+    try:
+        record = get_artifact(artifact)
+    except (KeyError, PartitionError) as exc:
+        raise DispatchError(exc.args[0]) from None
     events = on_event if on_event is not None else (lambda _msg: None)
 
     state_path: Path | None = None
@@ -701,7 +700,7 @@ def dispatch(
     if resume and state_path is None:
         raise DispatchError("resume requires a state directory")
 
-    keys = [job.key for job in artifact_jobs(artifact, scale)]
+    keys = [job.key for job in record.jobs(scale)]
     total = len(keys)
 
     # -- chunk planning (uniform, or cost-balanced under --steal) -----------

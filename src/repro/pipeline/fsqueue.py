@@ -59,6 +59,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.obs import trace as _trace
+from repro.pipeline.batch import get_artifact
 from repro.pipeline.cache import compiler_version
 from repro.pipeline.shard import ShardSpec, run_shard
 
@@ -206,10 +207,7 @@ class QueueTransport:
         queue listing distinguishes sweep chunks from kernel blocks;
         both kinds flow through the same claim/lease/result machinery.
         """
-        from repro.pipeline.partition import is_partition_artifact
-
-        prefix = ("part" if is_partition_artifact(payload.get("artifact", ""))
-                  else "chunk")
+        prefix = get_artifact(payload["artifact"]).task_prefix
         task = {"format": TASK_FORMAT, "chunk": index, "attempt": attempt,
                 "compiler": compiler_version(), **payload}
         _atomic_write(self.queue_dir / self._task_name(index, attempt, prefix),

@@ -32,15 +32,11 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.pipeline.batch import (
-    ARTIFACT_NAMES,
-    artifact_jobs,
-    assemble_artifact,
-    format_artifact,
-)
 from repro.obs import trace as _trace
+from repro.pipeline.batch import get_artifact
 from repro.pipeline.cache import compiler_version
 from repro.pipeline.executor import Job, JobResult, run_jobs
+from repro.pipeline.partition import PartitionError
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -168,65 +164,14 @@ class ShardSpec:
 
 
 def encode_result(artifact: str, value: Any) -> Any:
-    """A per-job result as a JSON-safe payload.
-
-    JSON serialises floats with ``repr`` (shortest round-trip), so every
-    float survives encode → decode bit-identically — the property the
-    byte-identical merge guarantee rests on.
-    """
-    if artifact == "table6":  # PlatformTimes
-        return {"kernel": value.kernel, "dataset": value.dataset,
-                "seconds": dict(value.seconds)}
-    if artifact == "table5":  # ResourceEstimate
-        return {"kernel": value.kernel, "par": value.par, "pcu": value.pcu,
-                "pmu": value.pmu, "mc": value.mc, "shuffle": value.shuffle}
-    if artifact == "table3":  # plain LoC dict
-        return dict(value)
-    if artifact == "figure12":  # {bandwidth: speedup}; JSON keys are strings
-        return {str(bw): ratio for bw, ratio in value.items()}
-    if artifact == "format_sweep":  # plain metrics dict per cell
-        return dict(value)
-    if artifact == "pipeline_sweep":  # plain fusion-report dict per cell
-        return dict(value)
-    from repro.pipeline.partition import is_partition_artifact
-
-    if is_partition_artifact(artifact):  # per-block partial (already JSON-safe)
-        return dict(value)
-    raise KeyError(
-        f"unknown artefact {artifact!r}; choose from {ARTIFACT_NAMES}"
-    )
+    """A per-job result as a JSON-safe payload (see
+    :class:`~repro.pipeline.batch.Artifact`)."""
+    return get_artifact(artifact).encode(value)
 
 
 def decode_result(artifact: str, payload: Any) -> Any:
     """Invert :func:`encode_result` back into the harness's result type."""
-    if artifact == "table6":
-        from repro.service.api import PlatformTimes
-
-        return PlatformTimes(payload["kernel"], payload["dataset"],
-                             dict(payload["seconds"]))
-    if artifact == "table5":
-        from repro.capstan.resources import ResourceEstimate
-
-        return ResourceEstimate(
-            kernel=payload["kernel"], par=payload["par"], pcu=payload["pcu"],
-            pmu=payload["pmu"], mc=payload["mc"], shuffle=payload["shuffle"],
-        )
-    if artifact == "table3":
-        return dict(payload)
-    if artifact == "figure12":
-        return {int(bw) if bw.lstrip("-").isdigit() else float(bw): ratio
-                for bw, ratio in payload.items()}
-    if artifact == "format_sweep":
-        return dict(payload)
-    if artifact == "pipeline_sweep":
-        return dict(payload)
-    from repro.pipeline.partition import is_partition_artifact
-
-    if is_partition_artifact(artifact):
-        return dict(payload)
-    raise KeyError(
-        f"unknown artefact {artifact!r}; choose from {ARTIFACT_NAMES}"
-    )
+    return get_artifact(artifact).decode(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +240,10 @@ class ShardManifest:
                                "total_jobs", "jobs") if f not in data]
         if missing:
             raise ManifestError(f"{source}: missing field(s) {missing}")
-        from repro.pipeline.partition import is_partition_artifact
-
-        if (data["artifact"] not in ARTIFACT_NAMES
-                and not is_partition_artifact(data["artifact"])):
-            raise ManifestError(
-                f"{source}: unknown artefact {data['artifact']!r}; "
-                f"expected one of {ARTIFACT_NAMES} or a partition:* plan"
-            )
+        try:
+            get_artifact(data["artifact"])
+        except (KeyError, PartitionError) as exc:
+            raise ManifestError(f"{source}: {exc.args[0]}") from None
         shard = data["shard"]
         try:
             positions = shard.get("positions")
@@ -365,7 +306,8 @@ def run_shard(
     """
     from repro.pipeline.batch import record_result_costs
 
-    all_jobs = artifact_jobs(artifact, scale, use_cache, engine)
+    record = get_artifact(artifact)
+    all_jobs = record.jobs(scale, use_cache, engine)
     with _trace.span("chunk", artifact=artifact, shard=str(spec)) as chunk_sp:
         results = run_jobs(spec.select(all_jobs), max_workers=jobs, kind=kind,
                            on_result=on_result, should_stop=should_stop)
@@ -384,7 +326,7 @@ def run_shard(
             "computed": res.computed,
         }
         if res.ok:
-            entry["value"] = encode_result(artifact, res.value)
+            entry["value"] = record.encode(res.value)
         else:
             entry["error"] = res.error
         entries.append(entry)
@@ -476,6 +418,7 @@ def merge_manifests(
     _check_consistent(manifests)
     artifact = manifests[0].artifact
     scale = manifests[0].scale
+    record = get_artifact(artifact)
 
     if require_current_compiler and manifests[0].compiler != compiler_version():
         raise MergeError(
@@ -510,7 +453,7 @@ def merge_manifests(
                     f"{artifact} (chunks {origin[key]} and {manifest.shard})"
                 )
             try:
-                collected[key] = decode_result(artifact, entry["value"])
+                collected[key] = record.decode(entry["value"])
             except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise MergeError(
                     f"malformed result payload for job "
@@ -519,7 +462,7 @@ def merge_manifests(
                 ) from None
             origin[key] = manifest.shard
 
-    expected = artifact_jobs(artifact, scale)
+    expected = record.jobs(scale)
     expected_keys = [job.key for job in expected]
     missing = [k for k in expected_keys if k not in collected]
     if missing:
@@ -537,5 +480,5 @@ def merge_manifests(
 
     results = [JobResult(job, True, value=collected[job.key])
                for job in expected]
-    data = assemble_artifact(artifact, results)
-    return MergedArtifact(artifact, scale, data, format_artifact(artifact, data))
+    data = record.assemble(results)
+    return MergedArtifact(artifact, scale, data, record.render(data))

@@ -23,10 +23,9 @@ to compare across execution paths. This module is that entry point now:
   (:mod:`repro.pipeline.cache`); :func:`cached` peeks for a finished
   result without computing (the daemon's hot path).
 
-``eval/harness.py`` keeps thin back-compat wrappers over these verbs
-(the old positional signatures emit ``DeprecationWarning``); the
-artefact orchestration (tables/figures) stays there and in
-``pipeline/batch.py``, now expressed on top of this module.
+The artefact orchestration (tables/figures) lives in
+``eval/harness.py`` and ``pipeline/batch.py``, expressed on top of this
+module.
 """
 
 from __future__ import annotations

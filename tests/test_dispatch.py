@@ -198,6 +198,13 @@ class TestDispatchClean:
         with pytest.raises(DispatchError, match="unknown artefact"):
             dispatch("table7", TINY, InlineTransport(1))
 
+    def test_malformed_partition_plan_rejected(self):
+        # Surfaces as a DispatchError (CLI: `dispatch error:`, exit 2),
+        # not as a raw PartitionError traceback.
+        with pytest.raises(DispatchError, match="malformed partition count"):
+            dispatch("partition:SpMV:bcsstk30:px:row", TINY,
+                     InlineTransport(1))
+
     def test_summary_payload_is_json_safe(self, fresh_cache):
         result = dispatch("table3", TINY, InlineTransport(1))
         payload = json.loads(json.dumps(dispatch_summary_payload(result)))

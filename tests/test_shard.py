@@ -181,6 +181,12 @@ class TestManifest:
         with pytest.raises(ManifestError, match="unknown artefact"):
             ShardManifest.from_dict(data)
 
+    def test_load_rejects_malformed_partition_plan(self, fresh_cache):
+        data = run_shard("table3", TINY, ShardSpec(1, 1)).to_dict()
+        data["artifact"] = "partition:SpMV:bcsstk30:px:row"
+        with pytest.raises(ManifestError, match="malformed partition count"):
+            ShardManifest.from_dict(data)
+
     def test_captures_failures_instead_of_raising(self, fresh_cache,
                                                   monkeypatch):
         from repro.pipeline import batch
@@ -207,11 +213,17 @@ def _shards(artifact: str, count: int, scale: float = TINY):
 class TestMerge:
     @pytest.mark.parametrize("artifact,count", [
         ("table6", 3), ("table3", 2), ("table5", 4), ("figure12", 2),
+        ("format_sweep", 3), ("pipeline_sweep", 2),
+        ("partition:SpMV:bcsstk30:p3:row", 2),
+        ("partition:DCSR-SpMM:bcsstk30:p2:sum", 2),
     ])
     def test_merge_equals_serial(self, fresh_cache, artifact, count):
         from repro.pipeline.batch import format_artifact, run_artifact
 
-        merged = merge_manifests(_shards(artifact, count))
+        # Through JSON, so every record's result codec round-trips too.
+        merged = merge_manifests([
+            ShardManifest.from_dict(json.loads(m.to_json()))
+            for m in _shards(artifact, count)])
         serial = run_artifact(artifact, TINY)
         assert merged.data == serial
         assert merged.text == format_artifact(artifact, serial)
